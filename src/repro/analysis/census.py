@@ -33,7 +33,7 @@ from repro.core.phase_space import PhaseSpace
 from repro.core.rules import MajorityRule
 from repro.obs import span
 from repro.perf.base import CHUNK as _CHUNK
-from repro.perf.base import MAX_ATTRACTOR_N
+from repro.perf.base import MAX_ATTRACTOR_N, governed_direct_sweep
 from repro.spaces.line import Ring
 from repro.util.bitops import int_to_bits
 
@@ -192,12 +192,15 @@ def build_attractor_census(
     pure-JSON frontier (the next unscanned code plus the counts folded so
     far); resuming completes the census byte-identically because counts
     of disjoint code ranges merge exactly
-    (:func:`~repro.perf.attractor.merge_counts`).
+    (:func:`~repro.perf.attractor.merge_counts`).  A frontier whose
+    recorded ``automaton`` differs from ``ca``'s (or is missing) is
+    refused with ``ValueError``.  The chunk loop, the sharded path and the
+    frontier checks are the shared
+    :func:`~repro.perf.base.governed_direct_sweep`.
     """
     from repro.perf.attractor import (
         ATTRACTOR_CHUNK,
         AttractorKernel,
-        K_COUNTS,
         merge_counts,
         zero_counts,
     )
@@ -211,37 +214,12 @@ def build_attractor_census(
     if kernel is None:
         kernel = AttractorKernel(ca)
     total = 1 << n
-    from repro.harness import faults
-
     counts = zero_counts()
-    start = 0
-    if frontier is not None:
-        if (
-            frontier.get("kind") != "attractor_census"
-            or int(frontier.get("n", -1)) != n
-        ):
-            raise ValueError(
-                f"frontier is not an attractor-census frontier for n={n}: "
-                f"{ {k: frontier[k] for k in ('kind', 'n') if k in frontier} }"
-            )
-        start = int(frontier["next_lo"])
-        prior = np.asarray(frontier.get("counts", []), dtype=np.int64)
-        if prior.size != K_COUNTS:
-            raise ValueError(
-                f"attractor-census frontier has {prior.size} count slots, "
-                f"expected {K_COUNTS}"
-            )
-        counts[:] = prior
-    transient = kernel.transient_bytes()
-    # Small spaces keep the sweeps' fine chunk (honest budget-trip
-    # granularity); big spaces use ranges wide enough to fill lane blocks.
-    step = _CHUNK if total <= ATTRACTOR_CHUNK else ATTRACTOR_CHUNK
+    identity = {"kind": "attractor_census", "n": n, "automaton": ca.describe()}
 
     def _frontier(next_lo: int) -> dict[str, object]:
         return {
-            "kind": "attractor_census",
-            "n": n,
-            "automaton": ca.describe(),
+            **identity,
             "total": total,
             "next_lo": next_lo,
             "counts": [int(v) for v in counts],
@@ -272,45 +250,30 @@ def build_attractor_census(
         quotient=kernel.quotient.mode,
         budget=budget.describe(),
     ) as census_span:
-        backend = ca.backend
-        if backend.is_sharded:
-            next_lo, reason = backend.governed_sweep(
-                counts,
-                budget,
-                start=start,
-                per_state=0,
-                mode="attractor",
-                kernel=kernel,
+        next_lo, reason = governed_direct_sweep(
+            kernel,
+            counts,
+            budget,
+            frontier,
+            identity=identity,
+            total=total,
+            # Small spaces keep the sweeps' fine chunk (honest budget-trip
+            # granularity); big spaces use ranges wide enough to fill lane
+            # blocks.
+            step=_CHUNK if total <= ATTRACTOR_CHUNK else ATTRACTOR_CHUNK,
+            merge=merge_counts,
+            fault_site="census.chunk",
+            backend=ca.backend,
+        )
+        if reason is not None:
+            census_span.set(truncated=reason, explored=next_lo)
+            return Partial.truncated(
+                reason,
+                explored=next_lo,
+                total=total,
+                stats=_stats(),
+                frontier=_frontier(next_lo),
             )
-            if reason is not None:
-                census_span.set(truncated=reason, explored=next_lo)
-                return Partial.truncated(
-                    reason,
-                    explored=next_lo,
-                    total=total,
-                    stats=_stats(),
-                    frontier=_frontier(next_lo),
-                )
-        else:
-            lo = start
-            while lo < total:
-                hi = min(lo + step, total)
-                reason = budget.over(
-                    pending_bytes=transient, pending_states=hi - lo
-                )
-                if reason is not None:
-                    census_span.set(truncated=reason, explored=lo)
-                    return Partial.truncated(
-                        reason,
-                        explored=lo,
-                        total=total,
-                        stats=_stats(),
-                        frontier=_frontier(lo),
-                    )
-                faults.inject("census.chunk")
-                merge_counts(counts, kernel.census_range(lo, hi))
-                budget.charge(states=hi - lo, bytes_=0)
-                lo = hi
         if int(counts[2]) != total:
             # The coverage identity (orbit weights sum to 2**n) failed —
             # a quotient bug; never report a wrong census as exact.

@@ -940,6 +940,11 @@ def _cmd_mc(args: argparse.Namespace, out) -> int:
             f"--n must be >= 2*radius + 1 = {2 * args.radius + 1}, "
             f"got {args.n}"
         )
+    if args.backend in ("bitplane", "table", "numpy"):
+        raise SystemExit(
+            f"mc --backend {args.backend}: the Monte-Carlo kernel is its own "
+            f"SWAR loop; choose auto (serial) or process"
+        )
     rule = _make_rule(args)
     kernel_kwargs = dict(
         schedule=args.schedule,
@@ -952,9 +957,9 @@ def _cmd_mc(args: argparse.Namespace, out) -> int:
     backend = None
     if args.backend == "process":
         # Explicit process sharding splits the sample stream over the
-        # supervised worker pool.  Every other backend choice runs the
-        # kernel's serial loop — it is already 64-way SWAR-parallel, so
-        # no automaton (or backend) is constructed at all.
+        # supervised worker pool.  Otherwise (auto) the kernel's serial
+        # loop runs — it is already 64-way SWAR-parallel, so no automaton
+        # (or backend) is constructed at all.
         ca = CellularAutomaton(
             Ring(args.n, radius=args.radius),
             rule,

@@ -243,9 +243,7 @@ class CellularAutomaton:
         succ = np.empty(total, dtype=np.int64)
         backend = self.backend
         if backend.is_sharded:
-            _, reason = backend.governed_sweep(
-                succ, resolve_budget(budget), mode="step"
-            )
+            _, reason = backend.governed_sweep(succ, resolve_budget(budget))
             if reason is not None:
                 raise BudgetExceeded(reason)
             return succ
@@ -269,7 +267,7 @@ class CellularAutomaton:
         backend = self.backend
         if backend.is_sharded:
             _, reason = backend.governed_sweep(
-                succ, resolve_budget(budget), mode="node", node=i
+                succ, resolve_budget(budget), node=i
             )
             if reason is not None:
                 raise BudgetExceeded(reason)

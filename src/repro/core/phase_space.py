@@ -320,7 +320,6 @@ def build_phase_space(
                     budget,
                     start=start,
                     per_state=per_state,
-                    mode="step",
                     on_prefix=_count_fps,
                 )
                 if reason is not None:

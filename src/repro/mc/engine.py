@@ -1,19 +1,18 @@
 """Governed streaming Monte-Carlo estimation.
 
-:func:`build_mc_estimate` mirrors the attractor census driver shape —
+:func:`build_mc_estimate` runs through the same governed sweep as the
+exact attractor census (:func:`repro.perf.base.governed_direct_sweep`):
 the same ``Partial`` honesty contract, pure-JSON frontier, budget-trip /
-``--resume`` semantics, ``process``-shard path, and fault-injection
-point — but over a *sample* range instead of a code range: samples
-``[lo, hi)`` of the deterministic seeded stream, always in whole
-lane-aligned batches, so counts of disjoint ranges merge exactly and
-serial / sharded / resumed runs are byte-identical.
+``--resume`` semantics, ``process``-shard path and fault-injection point,
+but over a *sample* range instead of a code range — samples ``[lo, hi)``
+of the deterministic seeded stream, always in whole lane-aligned batches,
+so counts of disjoint ranges merge exactly and serial / sharded / resumed
+runs are byte-identical.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-
-import numpy as np
 
 from repro.core.budget import Budget, Partial, resolve_budget
 from repro.core.durable import durable_write_json, register_write_site
@@ -21,13 +20,13 @@ from repro.obs import inc, set_gauge, span
 
 from repro.mc.estimators import (
     IDX,
-    K_MC_COUNTS,
     MC_COUNT_FIELDS,
     mc_estimates,
     merge_mc_counts,
     zero_mc_counts,
 )
 from repro.mc.kernel import McKernel
+from repro.perf.base import governed_direct_sweep
 
 __all__ = [
     "MC_SCHEMA",
@@ -68,54 +67,36 @@ def build_mc_estimate(
     death costs only the in-flight batch).  Anything else runs the
     kernel's serial loop — the kernel is already 64-way SWAR-parallel,
     so serial is the default even on multicore hosts.
-    """
-    from repro.harness import faults
 
+    A ``frontier`` resumes only the run that recorded it: its automaton,
+    seed, family, horizon, density, flips, lanes and rounded sample count
+    must all match this run, else ``ValueError``.
+    """
     budget = resolve_budget(budget)
-    samples = round_samples(samples, kernel.lanes)
-    total = samples
+    total = round_samples(samples, kernel.lanes)
     counts = zero_mc_counts()
-    start = 0
-    if frontier is not None:
-        if (
-            frontier.get("kind") != "mc"
-            or int(frontier.get("n", -1)) != kernel.n
-        ):
-            raise ValueError(
-                f"frontier is not an mc frontier for n={kernel.n}: "
-                f"{ {k: frontier[k] for k in ('kind', 'n') if k in frontier} }"
-            )
-        if int(frontier.get("total", -1)) != total:
-            raise ValueError(
-                f"mc frontier covers {frontier.get('total')} samples, "
-                f"resumed run wants {total}"
-            )
-        start = int(frontier["next_lo"])
-        prior = np.asarray(frontier.get("counts", []), dtype=np.int64)
-        if prior.size != K_MC_COUNTS:
-            raise ValueError(
-                f"mc frontier has {prior.size} count slots, "
-                f"expected {K_MC_COUNTS}"
-            )
-        counts[:] = prior
-    if start % kernel.lanes:
-        raise ValueError(
-            f"mc frontier resume point {start} is not "
-            f"{kernel.lanes}-lane aligned"
-        )
+    # Everything that decides which samples are drawn and how they are
+    # classified (the rounded sample count is checked too).
+    identity = {
+        "kind": "mc",
+        "n": kernel.n,
+        "automaton": kernel.describe(),
+        "seed": kernel.seed,
+        "family": kernel.family,
+        "horizon": kernel.horizon,
+        "density": kernel.density,
+        "flips": kernel.flips,
+        "lanes": kernel.lanes,
+    }
     # Disable the energy stream when no threshold form exists or the
     # exact integer power sums could overflow their int64 slots.
     bound = kernel.energy2_bound()
     if bound is None or total * (2 * bound) ** 2 >= 1 << 62:
         kernel.energy_enabled = False
-    transient = kernel.transient_bytes()
-    step = kernel.lanes * _CHUNK_BATCHES
 
     def _frontier(next_lo: int) -> dict[str, object]:
         return {
-            "kind": "mc",
-            "n": kernel.n,
-            "automaton": kernel.describe(),
+            **identity,
             "total": total,
             "next_lo": next_lo,
             "counts": [int(v) for v in counts],
@@ -157,48 +138,31 @@ def build_mc_estimate(
         schedule=kernel.schedule,
         budget=budget.describe(),
     ) as mc_span:
-        if backend is not None and backend.is_sharded:
-            kernel.sweep_total = total
-            next_lo, reason = backend.governed_sweep(
-                counts,
-                budget,
-                start=start,
-                per_state=0,
-                mode="mc",
-                kernel=kernel,
+        next_lo, reason = governed_direct_sweep(
+            kernel,
+            counts,
+            budget,
+            frontier,
+            identity=identity,
+            total=total,
+            step=kernel.lanes * _CHUNK_BATCHES,
+            merge=merge_mc_counts,
+            fault_site="mc.chunk",
+            backend=backend,
+        )
+        if reason is not None:
+            mc_span.set(truncated=reason, explored=next_lo)
+            return Partial.truncated(
+                reason,
+                explored=next_lo,
+                total=total,
+                stats=_stats(),
+                frontier=_frontier(next_lo),
             )
-            if reason is not None:
-                mc_span.set(truncated=reason, explored=next_lo)
-                return Partial.truncated(
-                    reason,
-                    explored=next_lo,
-                    total=total,
-                    stats=_stats(),
-                    frontier=_frontier(next_lo),
-                )
-        else:
-            lo = start
-            while lo < total:
-                hi = min(lo + step, total)
-                reason = budget.over(
-                    pending_bytes=transient, pending_states=hi - lo
-                )
-                if reason is not None:
-                    mc_span.set(truncated=reason, explored=lo)
-                    return Partial.truncated(
-                        reason,
-                        explored=lo,
-                        total=total,
-                        stats=_stats(),
-                        frontier=_frontier(lo),
-                    )
-                faults.inject("mc.chunk")
-                merge_mc_counts(counts, kernel.census_range(lo, hi))
-                budget.charge(states=hi - lo, bytes_=0)
-                lo = hi
         decided = int(counts[IDX["fixed_point"]]) + int(counts[IDX["two_cycle"]])
         inc("mc.runs")
-        inc("mc.samples", int(counts[IDX["samples"]]) - _prior_samples(frontier))
+        prior = int(frontier["counts"][IDX["samples"]]) if frontier else 0
+        inc("mc.samples", int(counts[IDX["samples"]]) - prior)
         set_gauge(
             "mc.fixed_point_rate",
             int(counts[IDX["fixed_point"]]) / total if total else 0.0,
@@ -215,14 +179,6 @@ def build_mc_estimate(
         return Partial.done(
             _payload(), explored=total, total=total, stats=_stats()
         )
-
-
-def _prior_samples(frontier) -> int:
-    """Samples already counted by the run a frontier resumes."""
-    if not frontier:
-        return 0
-    prior = frontier.get("counts") or []
-    return int(prior[IDX["samples"]]) if len(prior) == K_MC_COUNTS else 0
 
 
 def write_mc_artifact(path, payload: dict) -> None:

@@ -14,10 +14,13 @@ classification needs only two trailing states — lane masks
 (2-cycle, entered at ``t - 1``).  Lanes still live at the step horizon
 are counted ``undecided``, never guessed.
 
-The kernel also speaks the ``process`` shard protocol (``counts_slots``
-/ ``census_range`` / ``merge`` / ...), so governed sharded runs reuse
-the supervised worker layer unchanged: a shard is just a lane-aligned
-slice of the deterministic sample stream.
+The kernel speaks the same direct-kernel shard protocol as the exact
+census's :class:`~repro.perf.attractor.AttractorKernel` (``counts_slots``
+/ ``census_range`` / ``merge`` / ``poll_chunk`` / ``shard_align`` /
+``shards_per_worker``), so both run through one governed sweep
+(:func:`repro.perf.base.governed_direct_sweep`) and one supervised
+worker layer: a shard is just a lane-aligned slice of the deterministic
+sample stream.
 """
 
 from __future__ import annotations
@@ -28,9 +31,18 @@ import numpy as np
 
 from repro.core.rules import MajorityRule, SimpleThresholdRule, TableRule
 from repro.mc import sampler
-from repro.mc.estimators import IDX, zero_mc_counts, merge_mc_counts
+from repro.mc.estimators import (
+    IDX,
+    K_MC_COUNTS,
+    merge_mc_counts,
+    zero_mc_counts,
+)
 from repro.perf.base import BackendUnsupported
-from repro.perf.bitplane import eval_bit_kernel, lower_bit_kernel
+from repro.perf.bitplane import (
+    eval_bit_kernel,
+    lower_bit_kernel,
+    unpack_lane_mask,
+)
 from repro.spaces.line import Ring
 
 __all__ = ["McKernel", "MC_TILE_WORDS", "count_threshold"]
@@ -57,13 +69,6 @@ def count_threshold(rule, width: int):
         t = rule.function.as_count_threshold()
         return None if t is None else int(t)
     return None
-
-
-def _lane_bools(mask: np.ndarray, lanes: int) -> np.ndarray:
-    """Per-lane booleans of a ``(nwords,)`` uint64 lane mask."""
-    return np.unpackbits(
-        np.ascontiguousarray(mask).view(np.uint8), bitorder="little"
-    )[:lanes].astype(bool)
 
 
 class McKernel:
@@ -145,12 +150,8 @@ class McKernel:
         #: flipped off by the engine when theta is unknown or the integer
         #: power sums could overflow int64 at the requested sample count
         self.energy_enabled = self.theta is not None
-        # -- process-shard protocol ------------------------------------------
-        self.counts_slots = len(zero_mc_counts())
-        self.shard_align = self.lanes
-        self.poll_chunk = self.lanes
-        self.sweep_total = 0  # set by the engine (rounded sample count)
-    merge = staticmethod(merge_mc_counts)
+        # shards and cancel polls both move in whole sample batches
+        self.shard_align = self.poll_chunk = self.lanes
 
     # -- construction from an automaton (qa / tests) -------------------------
 
@@ -301,19 +302,19 @@ class McKernel:
             if live_fp.any():
                 fp_mask |= live_fp
                 done |= live_fp
-                conv_t[_lane_bools(live_fp, self.lanes)] = t
+                conv_t[unpack_lane_mask(live_fp)] = t
             if prev is not None:
                 live_2c = ~self._lane_diff(prev, nxt) & ~done
                 if live_2c.any():
                     two_mask |= live_2c
                     done |= live_2c
-                    conv_t[_lane_bools(live_2c, self.lanes)] = t - 1
+                    conv_t[unpack_lane_mask(live_2c)] = t - 1
             if (done == _ONES).all():
                 cur = nxt
                 break
             prev, cur = cur, nxt
-        fp = _lane_bools(fp_mask, self.lanes)
-        two = _lane_bools(two_mask, self.lanes)
+        fp = unpack_lane_mask(fp_mask)
+        two = unpack_lane_mask(two_mask)
         decided = fp | two
         counts[IDX["samples"]] += self.lanes
         counts[IDX["fixed_point"]] += int(fp.sum())
@@ -337,6 +338,10 @@ class McKernel:
             counts[IDX["energy_sumsq4"]] += int((drop * drop).sum())
 
     # -- shard protocol --------------------------------------------------------
+
+    counts_slots = K_MC_COUNTS
+    shards_per_worker = 4
+    merge = staticmethod(merge_mc_counts)
 
     def census_range(self, lo: int, hi: int) -> np.ndarray:
         """Counts over the lane-aligned sample range ``[lo, hi)``."""

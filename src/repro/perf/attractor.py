@@ -16,6 +16,13 @@ Fed only symmetry-orbit representatives
 the per-lane ``(cycle length, on-cycle)`` classification folds into an
 exact whole-space census — fixed points, two-cycles, cycle configurations
 — in O(transient + cycle) steps per orbit and O(lane batch) memory.
+
+The kernel speaks the direct-kernel shard protocol (``counts_slots`` /
+``census_range`` / ``merge`` / ``poll_chunk`` / ``shard_align`` /
+``shards_per_worker``), so the governed census runs through the same
+loop as the Monte-Carlo estimate
+(:func:`repro.perf.base.governed_direct_sweep`), serially or sharded
+across the supervised ``process`` pool.
 """
 
 from __future__ import annotations
@@ -24,8 +31,13 @@ import sys
 
 import numpy as np
 
-from repro.perf.base import MAX_ATTRACTOR_N, BackendUnsupported
-from repro.perf.bitplane import eval_bit_kernel, lower_bit_kernel
+from repro.perf.base import CHUNK, MAX_ATTRACTOR_N, BackendUnsupported
+from repro.perf.bitplane import (
+    eval_bit_kernel,
+    lower_nodes,
+    pack_lane_mask,
+    unpack_lane_mask,
+)
 
 __all__ = [
     "AttractorKernel",
@@ -67,8 +79,6 @@ K_COUNTS = len(COUNT_FIELDS)
 _IDX = {name: i for i, name in enumerate(COUNT_FIELDS)}
 _MAX_IDX = _IDX["max_cycle_len"]
 
-_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-
 
 def zero_counts() -> np.ndarray:
     """A fresh all-zero census counts vector."""
@@ -81,16 +91,6 @@ def merge_counts(acc: np.ndarray, delta: np.ndarray) -> np.ndarray:
     acc[_MAX_IDX] = max(acc[_MAX_IDX], delta[_MAX_IDX])
     acc[_MAX_IDX + 1 :] += delta[_MAX_IDX + 1 :]
     return acc
-
-
-def _pack_lane_mask(mask: np.ndarray) -> np.ndarray:
-    """Per-lane booleans (length a multiple of 64) to ``uint64`` words."""
-    return np.packbits(mask.astype(np.uint8), bitorder="little").view(np.uint64)
-
-
-def _unpack_lane_mask(words: np.ndarray) -> np.ndarray:
-    """``uint64`` words back to per-lane booleans."""
-    return np.unpackbits(words.view(np.uint8), bitorder="little").astype(bool)
 
 
 class AttractorKernel:
@@ -121,19 +121,7 @@ class AttractorKernel:
         self.n = ca.n
         self.quotient = quotient
         self.lanes = max(64, lanes)
-        kernels: dict[tuple[int, int], tuple] = {}
-        self._kernels: list[tuple] = []
-        self._windows: list[np.ndarray] = []
-        for i in range(ca.n):
-            rule = ca.rule_at(i)
-            width = int(ca._lengths[i])
-            key = (id(rule), width)
-            if key not in kernels:
-                kernels[key] = lower_bit_kernel(rule, width)
-            self._kernels.append(kernels[key])
-            self._windows.append(
-                np.asarray(ca._windows[i][:width], dtype=np.int64)
-            )
+        self._kernels, self._windows, _ = lower_nodes(ca)
 
     @classmethod
     def supports(cls, ca) -> str | None:
@@ -147,20 +135,22 @@ class AttractorKernel:
             return "trajectory-plane packing assumes a little-endian host"
         if ca.n > MAX_ATTRACTOR_N:
             return f"n={ca.n} exceeds the attractor-direct ceiling {MAX_ATTRACTOR_N}"
-        seen: set[tuple[int, int]] = set()
-        for i in range(ca.n):
-            rule = ca.rule_at(i)
-            width = int(ca._lengths[i])
-            key = (id(rule), width)
-            if key in seen:
-                continue
-            seen.add(key)
-            if lower_bit_kernel(rule, width) is None:
-                return (
-                    f"node {i}: rule {rule.name} has no bitwise lowering "
-                    f"at window width {width}"
-                )
-        return None
+        return lower_nodes(ca)[2]
+
+    # -- shard protocol --------------------------------------------------------
+
+    counts_slots = K_COUNTS
+    poll_chunk = ATTRACTOR_CHUNK
+    shard_align = CHUNK
+    #: shards are pure compute with a fixed-size result, so slice finer
+    #: than sweeps: better load balance and a fraction of the lease
+    #: deadline per shard even at the n=32 scale
+    shards_per_worker = 16
+
+    def merge(self, acc: np.ndarray, delta: np.ndarray) -> np.ndarray:
+        # Resolved through the module at call time, so a wrapper installed
+        # on :func:`merge_counts` sees every fold, sharded ones included.
+        return merge_counts(acc, delta)
 
     def describe(self) -> str:
         return f"attractor[{self.quotient.describe()}]"
@@ -241,7 +231,7 @@ class AttractorKernel:
         active = np.ones(m64, dtype=bool)
         lam_out = np.zeros(m64, dtype=np.int64)
         while True:
-            eq = ~_unpack_lane_mask(self._neq_words(tort, hare))
+            eq = ~unpack_lane_mask(self._neq_words(tort, hare))
             done = active & eq
             if done.any():
                 lam_out[lane_idx[done]] = lam[done]
@@ -264,7 +254,7 @@ class AttractorKernel:
                     active = active[sel]
             teleport = active & (power == lam)
             if teleport.any():
-                mask = _pack_lane_mask(teleport)
+                mask = pack_lane_mask(teleport)
                 self._blend(tort, hare, mask)
                 power[teleport] <<= 1
                 lam[teleport] = 0
@@ -295,9 +285,9 @@ class AttractorKernel:
                     break
                 active = rem > 0
             stepped = self._step(cur)
-            self._blend(cur, stepped, _pack_lane_mask(active))
+            self._blend(cur, stepped, pack_lane_mask(active))
             rem -= active
-        return ~_unpack_lane_mask(self._neq_words(final, x0))
+        return ~unpack_lane_mask(self._neq_words(final, x0))
 
     # -- census ----------------------------------------------------------------
 

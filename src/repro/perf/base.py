@@ -13,6 +13,16 @@ Backends are duck-typed against the automaton: they read ``ca.n``,
 ``ca._windows`` / ``ca._lengths`` (the padded window matrix, sentinel
 ``ca.n`` = quiescent 0), ``ca.rule_at(i)`` and ``ca._rule_groups()`` —
 which both the homogeneous and the heterogeneous engines provide.
+
+*Direct kernels* — the exact attractor census
+(:class:`repro.perf.attractor.AttractorKernel`) and the Monte-Carlo
+estimator (:class:`repro.mc.kernel.McKernel`) — never build a successor
+array: ``census_range(lo, hi)`` reduces a range to a fixed-size int64
+counts vector, and counts of disjoint ranges ``merge`` exactly in any
+order.  :func:`governed_direct_sweep` is their one governed sweep; the
+attributes it and the sharded ``governed_sweep`` read are ``n``,
+``census_range``, ``counts_slots``, ``merge``, ``transient_bytes()``,
+``shard_align``, ``poll_chunk`` and ``shards_per_worker``.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ __all__ = [
     "BackendUnsupported",
     "SweepBackend",
     "NumpyBackend",
+    "governed_direct_sweep",
 ]
 
 #: configurations processed per chunk in whole-space sweeps (2**16 keeps the
@@ -174,3 +185,71 @@ class NumpyBackend(SweepBackend):
         # configs + ext + gathered inputs (uint8 each), new (uint8),
         # packed output (int64)
         return CHUNK * ((n + 1) + n * k_max + n + 8)
+
+
+def governed_direct_sweep(
+    kernel,
+    counts: np.ndarray,
+    budget,
+    frontier: dict | None,
+    *,
+    identity: dict,
+    total: int,
+    step: int,
+    merge,
+    fault_site: str,
+    backend=None,
+) -> tuple[int, str | None]:
+    """Fold ``kernel.census_range`` over ``[start, total)`` into ``counts``.
+
+    ``identity`` names the run (``kind``, ``n`` and whatever else decides
+    its counts); the caller's frontier records it next to ``total``,
+    ``next_lo`` and ``counts``.  A ``frontier`` resumes only a run with
+    the same identity and ``total`` — anything else, a missing entry
+    included, raises ``ValueError`` — and its counts are loaded into
+    ``counts``.  A sharded ``backend`` then runs the rest through its
+    supervised ``governed_sweep``; otherwise ``step``-wide chunks run
+    serially, each admitted against the budget, probed at ``fault_site``,
+    folded with ``merge`` (the caller's module-level name, so a wrapper
+    installed there sees every fold) and charged one state per unit.
+    Returns ``(next_lo, reason)``: ``reason`` is ``None`` when the range
+    completed, else the budget trip and ``next_lo`` the resume point.
+    """
+    from repro.harness import faults
+
+    start = 0
+    if frontier is not None:
+        for key, want in {**identity, "total": total}.items():
+            if frontier.get(key) != want:
+                raise ValueError(
+                    f"frontier covers another run: its {key} is "
+                    f"{frontier.get(key)!r}, this run has {want!r}"
+                )
+        prior = np.asarray(frontier.get("counts", []), dtype=np.int64)
+        start = int(frontier.get("next_lo", -1))
+        aligned = start % kernel.shard_align == 0 or start == total
+        if prior.size != kernel.counts_slots or not (
+            0 <= start <= total and aligned
+        ):
+            raise ValueError(
+                f"frontier is malformed: {prior.size} count slots (expected "
+                f"{kernel.counts_slots}), resume point {start} (expected "
+                f"{total} or a {kernel.shard_align}-aligned point below it)"
+            )
+        counts[:] = prior
+    if backend is not None and backend.is_sharded:
+        return backend.governed_sweep(
+            counts, budget, start=start, total=total, kernel=kernel
+        )
+    transient = kernel.transient_bytes()
+    lo = start
+    while lo < total:
+        hi = min(lo + step, total)
+        reason = budget.over(pending_bytes=transient, pending_states=hi - lo)
+        if reason is not None:
+            return lo, reason
+        faults.inject(fault_site)
+        merge(counts, kernel.census_range(lo, hi))
+        budget.charge(states=hi - lo, bytes_=0)
+        lo = hi
+    return total, None

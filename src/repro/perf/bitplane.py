@@ -33,7 +33,10 @@ from repro.perf.base import CHUNK, BackendUnsupported, SweepBackend
 __all__ = [
     "BitplaneBackend",
     "lower_bit_kernel",
+    "lower_nodes",
     "eval_bit_kernel",
+    "pack_lane_mask",
+    "unpack_lane_mask",
     "MAX_SOP_WIDTH",
 ]
 
@@ -74,6 +77,44 @@ def lower_bit_kernel(rule, width: int):
         except ValueError:
             return None
     return None
+
+
+def lower_nodes(ca):
+    """Per-node bitwise kernels and input windows of ``ca``.
+
+    Returns ``(kernels, windows, None)`` — node ``i`` evaluates
+    ``kernels[i]`` over the planes named by ``windows[i]`` (sentinel
+    ``ca.n`` = quiescent 0) — or ``(None, None, reason)`` naming the first
+    node whose rule has no lowering.  Nodes sharing a rule object and
+    window width share one lowered kernel.
+    """
+    lowered: dict[tuple[int, int], tuple | None] = {}
+    kernels: list[tuple] = []
+    windows: list[np.ndarray] = []
+    for i in range(ca.n):
+        rule = ca.rule_at(i)
+        width = int(ca._lengths[i])
+        key = (id(rule), width)
+        if key not in lowered:
+            lowered[key] = lower_bit_kernel(rule, width)
+        if lowered[key] is None:
+            return None, None, (
+                f"node {i}: rule {rule.name} has no bitwise lowering "
+                f"at window width {width}"
+            )
+        kernels.append(lowered[key])
+        windows.append(np.asarray(ca._windows[i][:width], dtype=np.int64))
+    return kernels, windows, None
+
+
+def pack_lane_mask(mask: np.ndarray) -> np.ndarray:
+    """Per-lane booleans (length a multiple of 64) to ``uint64`` words."""
+    return np.packbits(mask.astype(np.uint8), bitorder="little").view(np.uint64)
+
+
+def unpack_lane_mask(words: np.ndarray) -> np.ndarray:
+    """``uint64`` lane-mask words back to per-lane booleans."""
+    return np.unpackbits(words.view(np.uint8), bitorder="little").astype(bool)
 
 
 def _minterm_or(
@@ -154,20 +195,7 @@ class BitplaneBackend(SweepBackend):
             return "bit-plane packing assumes a little-endian host"
         if ca.n < 6:
             return f"needs n >= 6 for whole 64-configuration words, got {ca.n}"
-        seen: set[tuple[int, int]] = set()
-        for i in range(ca.n):
-            rule = ca.rule_at(i)
-            width = int(ca._lengths[i])
-            key = (id(rule), width)
-            if key in seen:
-                continue
-            seen.add(key)
-            if lower_bit_kernel(rule, width) is None:
-                return (
-                    f"node {i}: rule {rule.name} has no bitwise lowering "
-                    f"at window width {width}"
-                )
-        return None
+        return lower_nodes(ca)[2]
 
     def __init__(self, ca):
         super().__init__(ca)
@@ -176,19 +204,7 @@ class BitplaneBackend(SweepBackend):
             raise BackendUnsupported(
                 f"bitplane backend cannot run {ca.describe()}: {reason}"
             )
-        kernels: dict[tuple[int, int], tuple] = {}
-        self._kernels: list[tuple] = []
-        self._windows: list[np.ndarray] = []
-        for i in range(ca.n):
-            rule = ca.rule_at(i)
-            width = int(ca._lengths[i])
-            key = (id(rule), width)
-            if key not in kernels:
-                kernels[key] = lower_bit_kernel(rule, width)
-            self._kernels.append(kernels[key])
-            self._windows.append(
-                np.asarray(ca._windows[i][:width], dtype=np.int64)
-            )
+        self._kernels, self._windows, _ = lower_nodes(ca)
 
     # -- plane generation ------------------------------------------------------
 

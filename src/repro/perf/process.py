@@ -135,12 +135,12 @@ def _worker_main(wid, inner, task_q, result_q, cancel, kernel=None) -> None:
 
     ``inner`` is the parent's fully constructed serial backend, inherited
     by fork (rules never cross a pickle boundary); ``kernel`` is the
-    attractor or Monte-Carlo kernel for ``mode == "attractor"`` /
-    ``"mc"`` shards, inherited the same way.  Kernel exceptions are caught and shipped as structured
-    ``error`` results — a worker only dies from the outside (SIGKILL,
-    OOM) or from a ``worker-crash`` fault.  Metrics are flushed alongside
-    every shard completion, so an abnormal death loses at most the
-    in-flight shard's increments.
+    direct kernel of a counts sweep, inherited the same way.  Kernel
+    exceptions are caught and shipped as structured ``error`` results — a
+    worker only dies from the outside (SIGKILL, OOM) or from a
+    ``worker-crash`` fault.  Metrics are flushed alongside every shard
+    completion, so an abnormal death loses at most the in-flight shard's
+    increments.
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # The forked registry starts as a copy of the parent's counts; reset so
@@ -151,7 +151,7 @@ def _worker_main(wid, inner, task_q, result_q, cancel, kernel=None) -> None:
         if task is None:
             result_q.put(("metrics", os.getpid(), _flush_snapshot()))
             return
-        sid, mode, node, lo, hi, shm_name = task
+        sid, node, lo, hi, shm_name = task
         pid = os.getpid()
         result_q.put(("start", sid, pid))
         try:
@@ -161,57 +161,32 @@ def _worker_main(wid, inner, task_q, result_q, cancel, kernel=None) -> None:
             shm = shared_memory.SharedMemory(name=shm_name)
             try:
                 ok = True
-                if mode == "attractor":
-                    from repro.perf.attractor import (
-                        ATTRACTOR_CHUNK,
-                        K_COUNTS,
-                        merge_counts,
+                if kernel is not None:
+                    out = np.ndarray(
+                        kernel.counts_slots, dtype=np.int64, buffer=shm.buf
                     )
-
-                    out = np.ndarray(K_COUNTS, dtype=np.int64, buffer=shm.buf)
                     # A re-dispatched shard reuses its original buffer:
                     # zero it so a dead worker's partial fold never
                     # double-counts.
                     out[:] = 0
-                    for clo in range(lo, hi, ATTRACTOR_CHUNK):
-                        if cancel.is_set():
-                            ok = False
-                            break
-                        faults.inject(f"perf.worker.w{wid}.chunk")
-                        chi = min(clo + ATTRACTOR_CHUNK, hi)
-                        merge_counts(out, kernel.census_range(clo, chi))
-                elif mode == "mc":
-                    # Monte-Carlo shards speak the same counts-vector
-                    # protocol as attractor shards, with the kernel
-                    # supplying its own slot count, merge, and batch-
-                    # aligned cancel-poll granularity.
-                    out = np.ndarray(
-                        kernel.counts_slots, dtype=np.int64, buffer=shm.buf
-                    )
-                    out[:] = 0
-                    for clo in range(lo, hi, kernel.poll_chunk):
-                        if cancel.is_set():
-                            ok = False
-                            break
-                        faults.inject(f"perf.worker.w{wid}.chunk")
-                        chi = min(clo + kernel.poll_chunk, hi)
-                        kernel.merge(out, kernel.census_range(clo, chi))
+                    chunk = kernel.poll_chunk
                 else:
                     out = np.ndarray(hi - lo, dtype=np.int64, buffer=shm.buf)
-                    for clo in range(lo, hi, CHUNK):
-                        if cancel.is_set():
-                            ok = False
-                            break
-                        faults.inject(f"perf.worker.w{wid}.chunk")
-                        chi = min(clo + CHUNK, hi)
-                        if mode == "step":
-                            out[clo - lo : chi - lo] = inner.step_all_range(
-                                clo, chi
-                            )
-                        else:
-                            out[clo - lo : chi - lo] = (
-                                inner.node_successors_range(node, clo, chi)
-                            )
+                    chunk = CHUNK
+                for clo in range(lo, hi, chunk):
+                    if cancel.is_set():
+                        ok = False
+                        break
+                    faults.inject(f"perf.worker.w{wid}.chunk")
+                    chi = min(clo + chunk, hi)
+                    if kernel is not None:
+                        kernel.merge(out, kernel.census_range(clo, chi))
+                    elif node is None:
+                        out[clo - lo : chi - lo] = inner.step_all_range(clo, chi)
+                    else:
+                        out[clo - lo : chi - lo] = inner.node_successors_range(
+                            node, clo, chi
+                        )
                 del out
             finally:
                 shm.close()
@@ -327,13 +302,13 @@ class ProcessBackend(SweepBackend):
         budget,
         *,
         start: int = 0,
+        total: int | None = None,
         per_state: int = 0,
-        mode: str = "step",
         node: int | None = None,
         on_prefix=None,
         kernel=None,
     ) -> tuple[int, str | None]:
-        """Fill ``out[start:]`` by sharding across the supervised pool.
+        """Fill ``out[start:total]`` by sharding across the supervised pool.
 
         Returns ``(next_lo, reason)``: ``reason`` is None when the sweep
         completed, else the budget trip reason and ``next_lo`` the end of
@@ -341,45 +316,30 @@ class ProcessBackend(SweepBackend):
         point.  ``on_prefix(lo, hi)`` fires in order as the prefix grows
         (the phase-space builder streams fixed-point counts through it).
 
-        ``mode == "attractor"`` shards the whole ``2**n`` code range of
-        ``kernel`` (an :class:`~repro.perf.attractor.AttractorKernel`):
-        ``out`` is then the K-slot counts accumulator, each shard ships a
-        counts vector instead of a successor block, and shards are folded
-        in shard order as the contiguous prefix advances — so ``next_lo``
-        keeps exactly the serial builders' resume semantics.
-        ``mode == "mc"`` does the same over the sample range
-        ``[0, kernel.sweep_total)`` of a Monte-Carlo kernel, with shards
-        aligned to whole sample batches (``kernel.shard_align``).
+        What a shard computes follows from the inputs: synchronous
+        successors by default, node ``node``'s successors when it is
+        given, and with a direct ``kernel`` (see
+        :func:`repro.perf.base.governed_direct_sweep`) the kernel's
+        counts over ``[start, total)``.  ``out`` is then the
+        ``kernel.counts_slots`` accumulator, each shard ships a counts
+        vector instead of a successor block, shards are
+        ``kernel.shard_align``-ed (``kernel.shards_per_worker`` per
+        worker) and are folded with ``kernel.merge`` in shard order as the
+        contiguous prefix advances — so ``next_lo`` keeps exactly the
+        serial loop's resume semantics.
 
         Raises :class:`~repro.perf.supervise.ShardFailed` only when a
         poison shard *also* fails the serial inline fallback.
         """
-        # "Direct" modes (attractor, mc) reduce each shard to a fixed-size
-        # counts vector instead of a successor block; the kernel supplies
-        # the slot count, the merge, and (for mc) the shard alignment.
-        attractor = mode == "attractor"
-        direct = attractor or mode == "mc"
-        align = CHUNK
-        if attractor:
-            from repro.perf.attractor import K_COUNTS, merge_counts
-
-            k_slots, k_merge = K_COUNTS, merge_counts
-            total = 1 << self.ca.n
-        elif mode == "mc":
-            k_slots, k_merge = kernel.counts_slots, kernel.merge
-            align = kernel.shard_align
-            total = int(kernel.sweep_total)
-        else:
+        direct = kernel is not None
+        if total is None:
             total = int(out.size)
         if start >= total:
             return total, None
-        # Attractor shards are pure compute with a fixed-size result, so
-        # slice finer: better load balance and a fraction of the lease
-        # deadline per shard even at the n=32 scale.
         shard_len = self._shard_len(
             total - start,
-            parts_per_worker=16 if attractor else 4,
-            align=align,
+            parts_per_worker=kernel.shards_per_worker if direct else 4,
+            align=kernel.shard_align if direct else CHUNK,
         )
         shards = [
             (lo, min(lo + shard_len, total))
@@ -431,7 +391,7 @@ class ProcessBackend(SweepBackend):
 
         with obs.span(
             "perf.process.sweep",
-            mode=mode,
+            mode="counts" if direct else "step" if node is None else "node",
             total=total,
             start=start,
             shards=len(shards),
@@ -459,7 +419,7 @@ class ProcessBackend(SweepBackend):
                         # Fold counts only as the charged prefix advances,
                         # so a truncated accumulator matches what a serial
                         # resume from ``next_lo`` would rebuild exactly.
-                        k_merge(out, shard_counts.pop(next_merge))
+                        kernel.merge(out, shard_counts.pop(next_merge))
                     if on_prefix is not None:
                         on_prefix(lo, hi)
                     next_merge += 1
@@ -486,7 +446,7 @@ class ProcessBackend(SweepBackend):
                         faults.inject("perf.process.fallback")
                         if direct:
                             shard_counts[sid] = kernel.census_range(lo, hi)
-                        elif mode == "step":
+                        elif node is None:
                             out[lo:hi] = self._inner.step_all_range(lo, hi)
                         else:
                             out[lo:hi] = self._inner.node_successors_range(
@@ -642,15 +602,15 @@ class ProcessBackend(SweepBackend):
                             )
                             if reason is not None:
                                 break
+                            slots = kernel.counts_slots if direct else hi - lo
                             shm = shared_memory.SharedMemory(
-                                create=True,
-                                size=k_slots * 8 if direct else (hi - lo) * 8,
+                                create=True, size=8 * slots
                             )
                             inflight[sid] = shm
                             lease.shm_name = shm.name
                             uncharged += hi - lo
                         if not supervisor.assign(
-                            lease, (sid, mode, node, lo, hi, lease.shm_name)
+                            lease, (sid, node, lo, hi, lease.shm_name)
                         ):  # pragma: no cover - capacity raced a death
                             break
                         pending.popleft()
@@ -723,9 +683,11 @@ class ProcessBackend(SweepBackend):
                             # in the frontier.
                             if direct:
                                 # Copy before the shm segment is unlinked.
-                                shard_counts[sid] = np.array(
-                                    np.ndarray(k_slots, dtype=np.int64, buffer=shm.buf)
-                                )
+                                shard_counts[sid] = np.ndarray(
+                                    kernel.counts_slots,
+                                    dtype=np.int64,
+                                    buffer=shm.buf,
+                                ).copy()
                             else:
                                 out[lo:hi] = np.ndarray(
                                     hi - lo, dtype=np.int64, buffer=shm.buf

@@ -31,7 +31,7 @@ from repro.core.evolution import brent_orbit, parallel_orbit, sequential_converg
 from repro.core.interleaving import InterleavingReport, interleaving_capture_report
 from repro.core.nondet import NondetPhaseSpace, build_nondet_phase_space
 from repro.core.phase_space import PhaseSpace, build_phase_space
-from repro.core.rules import MajorityRule, XorRule
+from repro.core.rules import MajorityRule, SimpleThresholdRule, XorRule
 from repro.core.schedules import FixedPermutation
 from repro.harness.checkpoint import load_frontier, save_frontier
 from repro.interleave.explorer import explore_outcomes
@@ -506,6 +506,14 @@ class TestGovernedAttractorCensus:
         )
         with pytest.raises(ValueError, match="frontier"):
             build_attractor_census(self._ca(12), frontier=tripped.frontier)
+        # Same size, another rule: the frontier's counts belong to a
+        # different automaton and must not be folded into this census.
+        other = CellularAutomaton(Ring(17), SimpleThresholdRule(1), memory=True)
+        with pytest.raises(ValueError, match="frontier"):
+            build_attractor_census(other, frontier=tripped.frontier)
+        bare = {k: v for k, v in tripped.frontier.items() if k != "automaton"}
+        with pytest.raises(ValueError, match="frontier"):
+            build_attractor_census(self._ca(17), frontier=bare)
 
     def test_cli_trip_exits_3_then_resume_completes(self, tmp_path):
         plain_code, plain_text = run_cli("census", "--n", "17")
@@ -526,3 +534,47 @@ class TestGovernedAttractorCensus:
         assert "resuming from" in text2
         # the resumed row is identical to the uninterrupted one
         assert plain_text.splitlines()[-1] == text2.splitlines()[-1]
+
+
+class TestShardedAttractorCensus:
+    """The attractor census through the process backend's shard layer."""
+
+    N = 17
+
+    @classmethod
+    def _ca(cls, **kw):
+        return CellularAutomaton(Ring(cls.N), MajorityRule(), memory=True, **kw)
+
+    def test_serial_vs_process_sharded_identical(self):
+        from repro.analysis.census import build_attractor_census
+
+        serial = build_attractor_census(self._ca(backend="bitplane"))
+        sharded = build_attractor_census(
+            self._ca(backend="process", workers=2)
+        )
+        assert serial.complete and sharded.complete
+        assert dataclasses.asdict(sharded.value) == dataclasses.asdict(
+            serial.value
+        )
+
+    def test_budget_trip_then_resume_identical(self):
+        from repro.analysis.census import build_attractor_census
+
+        # shards are CHUNK-aligned (2 of 65536 codes at n=17): a cap of one
+        # shard admits the first and trips before folding the second.
+        tripped = build_attractor_census(
+            self._ca(backend="process", workers=2),
+            budget=Budget(max_states=1 << 16),
+        )
+        assert not tripped.complete
+        assert "states" in tripped.reason
+        assert tripped.frontier["kind"] == "attractor_census"
+        assert tripped.frontier["next_lo"] == 1 << 16
+        resumed = build_attractor_census(
+            self._ca(backend="process", workers=2), frontier=tripped.frontier
+        )
+        uninterrupted = build_attractor_census(
+            self._ca(backend="process", workers=2)
+        )
+        assert resumed.complete
+        assert resumed.value == uninterrupted.value

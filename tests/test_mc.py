@@ -228,6 +228,29 @@ class TestDeterminism:
                 self._kernel(mc_seed), 2 * self.SAMPLES,
                 frontier=tripped.frontier,
             )
+        # Another run's stream over the same ring and sample count: every
+        # knob that changes the samples or their verdicts must match.
+        for kwargs in (
+            dict(seed=mc_seed + 1, schedule="sweep"),
+            dict(seed=mc_seed + 1),
+            dict(seed=mc_seed, schedule="sweep"),
+            dict(seed=mc_seed, family="density", density=0.25),
+            dict(seed=mc_seed, family="perturb", flips=3),
+            dict(seed=mc_seed, horizon=7),
+            dict(seed=mc_seed, lanes=2 * self.LANES),
+        ):
+            kwargs.setdefault("lanes", self.LANES)
+            kernel = McKernel(MajorityRule(), self.N, **kwargs)
+            with pytest.raises(ValueError, match="frontier"):
+                build_mc_estimate(kernel, self.SAMPLES, frontier=tripped.frontier)
+        # A frontier that does not record its run's identity is refused.
+        for key in ("automaton", "seed", "family", "horizon", "density",
+                    "flips", "lanes"):
+            bare = {k: v for k, v in tripped.frontier.items() if k != key}
+            with pytest.raises(ValueError, match="frontier"):
+                build_mc_estimate(
+                    self._kernel(mc_seed), self.SAMPLES, frontier=bare
+                )
 
 
 # -- energy stream against the scalar Lyapunov ---------------------------------
@@ -398,6 +421,10 @@ class TestCli:
             ["mc", "--flips", "-1"],
             ["mc", "--n", "2"],
             ["mc", "--rule", "threshold"],  # missing --threshold
+            # the MC kernel has no sweep-backend variants to choose from
+            ["mc", "--backend", "bitplane"],
+            ["mc", "--backend", "table"],
+            ["mc", "--backend", "numpy"],
         ):
             with pytest.raises(SystemExit):
                 main(argv, out=io.StringIO())
